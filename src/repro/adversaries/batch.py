@@ -75,8 +75,12 @@ class BroadcastBatchOracle:
         oracle = self.oracle
         full = self._full
         row = self._row
-        for p in range(self.n):
-            row[p] = mask_to_words(oracle.ho_mask(round, p) & full, self.n)
+        if self._words == 1:
+            # n <= 64: each mask is its own single word.
+            row[:, 0] = [oracle.ho_mask(round, p) & full for p in range(self.n)]
+        else:
+            for p in range(self.n):
+                row[p] = mask_to_words(oracle.ho_mask(round, p) & full, self.n)
         return np.broadcast_to(row, (self.replicas, self.n, self._words))
 
 

@@ -53,7 +53,12 @@ class BatchUnsupported(Exception):
     """
 
 
-def encode_values(initial_values: Sequence[Any]) -> Tuple[List[Any], List[int]]:
+#: one replica's value encoding: ``(table, codes)`` as :func:`encode_values`
+#: returns it.
+Encoding = Tuple[List[Any], List[int]]
+
+
+def encode_values(initial_values: Sequence[Any]) -> Encoding:
     """Encode one replica's initial values as codes into a sorted value table.
 
     Returns ``(table, codes)`` with ``table`` sorted ascending and
@@ -107,25 +112,32 @@ class BatchKernel(abc.ABC):
     def from_batch(cls, batch: Any) -> "BatchKernel":
         """Construct the kernel for a :class:`~repro.rounds.backend.ReplicaBatch`.
 
-        The default reads only ``(n, initial_values)``; kernels that depend
-        on the tasks' algorithm instances (translation parameters, inner
-        algorithms) override this and raise :class:`BatchUnsupported` for
-        task shapes they cannot represent.
+        The default encodes every task's initial values (raising
+        :class:`BatchUnsupported` for unencodable ones) and reads only
+        ``n``; kernels that depend on the tasks' algorithm instances
+        (translation parameters, inner algorithms) override this and raise
+        :class:`BatchUnsupported` for task shapes they cannot represent.
         """
-        return cls(batch.n, [list(task.initial_values) for task in batch.tasks])
+        return cls(
+            batch.n,
+            [encode_values(list(task.initial_values)) for task in batch.tasks],
+        )
 
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encodings: Sequence[Encoding],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
+        """One row per replica; *encodings* holds every row's
+        :func:`encode_values` result ``(table, codes)``.
+        """
         np = require_numpy()
         if n <= 0:
             raise ValueError(f"number of processes must be positive, got {n}")
         self.np = np
         self.n = n
-        self.replicas = len(initial_values)
+        self.replicas = len(encodings)
         if self.replicas == 0:
             raise ValueError("at least one replica is required")
         if row_n is None:
@@ -145,10 +157,9 @@ class BatchKernel(abc.ABC):
             self.row_n = np.array(row_n, dtype=np.int32)
         tables: List[List[Any]] = []
         codes: List[List[int]] = []
-        for values in initial_values:
-            if len(values) != n:
-                raise ValueError(f"expected {n} initial values, got {len(values)}")
-            table, row = encode_values(values)
+        for table, row in encodings:
+            if len(row) != n:
+                raise ValueError(f"expected {n} initial values, got {len(row)}")
             tables.append(table)
             codes.append(row)
         self.tables = tables
@@ -175,7 +186,7 @@ class BatchKernel(abc.ABC):
         """A reusable uninitialised buffer keyed by *name*.
 
         ``step`` runs every round over the same ``(R, n)`` shapes, so its
-        large temporaries (one-hot tables, float matmul operands) are
+        large temporaries (equality matrices, float matmul operands) are
         allocated once here and rewritten in place each round instead of
         churning fresh arrays.  A buffer is reallocated when the requested
         shape or dtype changes -- row compaction shrinks R mid-run.  The
@@ -277,16 +288,6 @@ class BatchKernel(abc.ABC):
         big = np.int32(self.n + 1)
         return np.where(heard, self.x[:, None, :], big).min(axis=2)
 
-    def _first_heard_code(self, eligible: Any) -> Any:
-        """(R, n) -- code of the lowest-id sender with ``eligible[r, p, q]``.
-
-        Garbage where no sender is eligible; callers mask with the
-        eligibility count.
-        """
-        np = self.np
-        qstar = eligible.argmax(axis=2)
-        return np.take_along_axis(self.x, qstar, axis=1)
-
 
 class BatchOneThirdRule(BatchKernel):
     """The ``(R, n)`` dual of :class:`~repro.algorithms.OneThirdRule`."""
@@ -301,24 +302,25 @@ class BatchOneThirdRule(BatchKernel):
         hc = heard.sum(axis=2, dtype=np.int32)                      # (R, n)
         act = active[:, None] & (3 * hc > 2 * n_col)                # update gate
 
-        # Multiplicity of every value code among heard senders, via one
-        # batched matmul: counts[r, p, v] = |{q in HO(p) : x_q = v}|.
+        # Multiplicity of every heard sender's value, via one batched matmul
+        # against the code-equality matrix same[r, q', q] = (x_q' == x_q):
+        # counts[r, p, q] = |{q' in HO(p) : x_q' = x_q}|.  Zeroing unheard
+        # senders leaves every value with a nonzero count represented by its
+        # heard carriers, so the row max is the top multiplicity and argmax
+        # -- first index attaining it -- is the first heard sender carrying
+        # a top value: the Counter.most_common insertion-order tie-break.
         shape = (self.replicas, n, n)
-        onehot = self._scratch("otr_onehot", shape, np.float32)
-        np.equal(x[:, :, None], np.arange(n, dtype=np.int32), out=onehot)
+        same = self._scratch("otr_same", shape, np.float32)
+        np.equal(x[:, :, None], x[:, None, :], out=same)
         heard_f = self._scratch("otr_heard_f32", shape, np.float32)
         np.copyto(heard_f, heard)
         counts = self._scratch("otr_counts", shape, np.float32)
-        np.matmul(heard_f, onehot, out=counts)                      # (R, n, n)
-        top = counts.max(axis=2)                                    # (R, n) float
+        np.matmul(heard_f, same, out=counts)                        # (R, n, n)
+        np.multiply(counts, heard_f, out=counts)
+        qstar = counts.argmax(axis=2)                               # (R, n)
+        top = np.take_along_axis(counts, qstar[:, :, None], axis=2)[:, :, 0]
         top_i = top.astype(np.int32)
-
-        # Counter.most_common tie-break: the winning value is the one carried
-        # by the first heard sender whose value attains the top count.
-        counts_by_sender = np.take_along_axis(
-            counts, np.broadcast_to(x[:, None, :], heard.shape), axis=2
-        )
-        winner = self._first_heard_code(heard & (counts_by_sender == top[:, :, None]))
+        winner = np.take_along_axis(x, qstar, axis=1)
 
         adopt_top = (hc - top_i) <= n_col // 3
         new_x = np.where(adopt_top, winner, self._min_heard_code(heard))
@@ -336,10 +338,10 @@ class BatchUniformVoting(BatchKernel):
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encodings: Sequence[Encoding],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(n, initial_values, row_n)
+        super().__init__(n, encodings, row_n)
         #: (R, n) int32 -- current-phase vote codes, -1 for None.
         self.vote = self.np.full((self.replicas, n), -1, dtype=self.np.int32)
 
@@ -385,10 +387,10 @@ class BatchLastVoting(BatchKernel):
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encodings: Sequence[Encoding],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(n, initial_values, row_n)
+        super().__init__(n, encodings, row_n)
         np = self.np
         shape = (self.replicas, n)
         self.timestamp = np.zeros(shape, dtype=np.int32)
@@ -512,6 +514,7 @@ def batch_kernel_for(algorithm: Any) -> Optional[Type[BatchKernel]]:
 
 __all__ = [
     "BatchUnsupported",
+    "Encoding",
     "encode_values",
     "BatchKernel",
     "BatchOneThirdRule",

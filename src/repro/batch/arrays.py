@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Sequence
 
 from .._optional import require_numpy
-from ..rounds.bitmask import WORD_BITS, mask_to_words, word_count, words_to_mask
+from ..rounds.bitmask import mask_to_words, word_count, words_to_mask
 
 
 def words_array_from_masks(masks: Sequence[int], n: int) -> Any:
@@ -30,40 +30,26 @@ def mask_from_words_row(row: Iterable[int]) -> int:
     return words_to_mask(int(word) for word in row)
 
 
-def unpack_words(words: Any, n: int, out: Any = None, bits: Any = None) -> Any:
-    """Unpack a ``(..., W)`` uint64 word array into a ``(..., n)`` bool array.
+def unpack_words(words: Any, n: int) -> Any:
+    """Unpack a ``(..., W)`` uint64 word array into a fresh ``(..., n)`` bool array.
 
     Bit ``q`` of the mask becomes column ``q``; the padding bits above ``n``
-    in the last word are dropped.  The round loops call this once per round,
-    so both temporaries accept caller-owned buffers: *out* is the
-    ``(..., n)`` bool result, *bits* the ``(..., W, 64)`` uint64
-    intermediate.
+    in the last word are dropped.  The words are viewed as little-endian
+    bytes (explicit ``"<u8"``, so big-endian hosts agree) and unpacked one
+    byte at a time, which yields bits in mask order.
     """
     np = require_numpy()
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    expanded = words[..., :, None]
-    if bits is None:
-        bits = (expanded >> shifts) & np.uint64(1)
-    else:
-        np.right_shift(expanded, shifts, out=bits)
-        bits &= np.uint64(1)
-    flat = bits.reshape(*words.shape[:-1], words.shape[-1] * WORD_BITS)
-    trimmed = flat[..., :n]
-    if out is None:
-        return trimmed.astype(bool)
-    np.copyto(out, trimmed, casting="unsafe")
-    return out
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
 
 
 def pack_bools(bits: Any, n: int) -> Any:
     """Pack a ``(..., n)`` bool array into its ``(..., W)`` uint64 word spill."""
     np = require_numpy()
-    w = word_count(n)
-    padded = np.zeros((*bits.shape[:-1], w * WORD_BITS), dtype=np.uint64)
-    padded[..., :n] = bits
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    grouped = padded.reshape(*bits.shape[:-1], w, WORD_BITS) << shifts
-    return np.bitwise_or.reduce(grouped, axis=-1)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    octets = np.zeros((*packed.shape[:-1], word_count(n) * 8), dtype=np.uint8)
+    octets[..., : packed.shape[-1]] = packed
+    return octets.view("<u8").astype(np.uint64, copy=False)
 
 
 def popcount_words(words: Any) -> Any:

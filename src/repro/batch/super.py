@@ -33,12 +33,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._optional import have_numpy, require_numpy
+from ..algorithms.batched import Encoding
 from ..rounds.backend import (
     ReplicaBatch,
     ReplicaOutcome,
     register_backend,
 )
-from ..rounds.bitmask import WORD_BITS, iter_bits, word_count
+from ..rounds.bitmask import iter_bits, word_count
 from ..rounds.fallback import FallbackReason
 from .arrays import popcount_words, unpack_words
 from .backends import BatchBackend
@@ -82,16 +83,20 @@ class SuperBatchBackend:
         self.last_fallback_reasons = {}
         results: List[Optional[List[ReplicaOutcome]]] = [None] * len(batches)
         groups: Dict[Any, List[int]] = {}
+        encodings: Dict[int, List[Encoding]] = {}
         for i, batch in enumerate(batches):
-            reason, kernel_class = self._eligibility(batch)
-            if reason is not None:
+            reason, eligible = self._eligibility(batch)
+            if eligible is None:
                 self.last_fallback_reasons[i] = reason
                 results[i] = self._cell_backend.run(batch)
             else:
+                kernel_class, encodings[i] = eligible
                 groups.setdefault(kernel_class, []).append(i)
         for kernel_class, indices in groups.items():
             outcomes = _SuperBatchEngine(
-                kernel_class, [batches[i] for i in indices]
+                kernel_class,
+                [batches[i] for i in indices],
+                [encodings[i] for i in indices],
             ).run()
             for i, cell_outcomes in zip(indices, outcomes):
                 results[i] = cell_outcomes
@@ -102,7 +107,13 @@ class SuperBatchBackend:
     # the super-batch eligibility decision
     # ------------------------------------------------------------------ #
 
-    def _eligibility(self, batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
+    def _eligibility(
+        self, batch: ReplicaBatch
+    ) -> Tuple[Optional[str], Optional[Tuple[Any, List[Encoding]]]]:
+        """``(reason, None)`` for a per-cell fallback, else ``(None, (kernel
+        class, per-task encode_values results))`` -- the encodings feed the
+        kernel, so super-batched values are encoded exactly once.
+        """
         if self.force_fallback:
             return FallbackReason.FORCED.render(), None
         if not have_numpy():
@@ -146,17 +157,21 @@ class SuperBatchBackend:
         if batch.fingerprints:
             return FallbackReason.FINGERPRINTED_PER_CELL.render(), None
         try:
-            for task in batch.tasks:
-                encode_values(list(task.initial_values))
+            encoded = [encode_values(list(task.initial_values)) for task in batch.tasks]
         except BatchUnsupported as exc:
             return str(exc), None
-        return None, kernel_class
+        return None, (kernel_class, encoded)
 
 
 class _SuperBatchEngine:
     """One padded row space for every replica of a group of cells."""
 
-    def __init__(self, kernel_class: Any, batches: Sequence[ReplicaBatch]) -> None:
+    def __init__(
+        self,
+        kernel_class: Any,
+        batches: Sequence[ReplicaBatch],
+        encodings: Sequence[Sequence[Encoding]],
+    ) -> None:
         np = require_numpy()
         self.np = np
         self.batches = list(batches)
@@ -168,7 +183,7 @@ class _SuperBatchEngine:
         rows = sum(batch.replicas for batch in self.batches)
         self.rows = rows
         n_max = self.n_max
-        padded_values: List[List[Any]] = []
+        padded_encodings: List[Encoding] = []
         row_n: List[int] = []
         row_cell = np.empty(rows, dtype=np.int64)
         row_replica = np.empty(rows, dtype=np.int64)
@@ -179,13 +194,12 @@ class _SuperBatchEngine:
         row = 0
         for ci, batch in enumerate(self.batches):
             scope_processes = list(iter_bits(batch.effective_scope_mask))
-            for ri, task in enumerate(batch.tasks):
-                values = list(task.initial_values)
-                # Padding duplicates the first value: the code table is a
-                # set, so the extra columns change nothing, and padded
-                # receivers never hear anyone so they never act on it.
-                values.extend(values[:1] * (n_max - batch.n))
-                padded_values.append(values)
+            pad = n_max - batch.n
+            for ri, (table, codes) in enumerate(encodings[ci]):
+                # Padding duplicates the first value's code: the code table
+                # is unchanged, and padded receivers never hear anyone so
+                # they never act on it.
+                padded_encodings.append((table, codes + codes[:1] * pad))
                 row_n.append(batch.n)
                 row_cell[row] = ci
                 row_replica[row] = ri
@@ -196,7 +210,7 @@ class _SuperBatchEngine:
             self.oracles.append(
                 vectorize_oracles([task.oracle for task in batch.tasks], batch.replicas)
             )
-        self.kernel = kernel_class(n_max, padded_values, row_n=row_n)
+        self.kernel = kernel_class(n_max, padded_encodings, row_n=row_n)
         self.row_cell = row_cell
         self.row_replica = row_replica
         self.horizon = horizon
@@ -220,11 +234,6 @@ class _SuperBatchEngine:
         # it shrinks in lockstep with every compaction.
         orig_of = np.arange(self.rows, dtype=np.int64)
         buffer = np.zeros((self.rows, n_max, self.w_max), dtype=np.uint64)
-        # Round-loop scratch, reallocated with the buffer on compaction.
-        heard_buffer = np.empty((self.rows, n_max, n_max), dtype=bool)
-        bits_buffer = np.empty(
-            (self.rows, n_max, self.w_max, WORD_BITS), dtype=np.uint64
-        )
 
         round = 0
         while True:
@@ -247,10 +256,6 @@ class _SuperBatchEngine:
                 kernel.compact(keep)
                 orig_of = orig_of[keep]
                 buffer = np.zeros((live, n_max, self.w_max), dtype=np.uint64)
-                heard_buffer = np.empty((live, n_max, n_max), dtype=bool)
-                bits_buffer = np.empty(
-                    (live, n_max, self.w_max, WORD_BITS), dtype=np.uint64
-                )
                 alive = np.ones(live, dtype=bool)
 
             round += 1
@@ -266,7 +271,7 @@ class _SuperBatchEngine:
                 w_c = words.shape[-1]
                 buffer[positions, : batch.n, :w_c] = words[replica_idx]
 
-            heard = unpack_words(buffer, n_max, out=heard_buffer, bits=bits_buffer)
+            heard = unpack_words(buffer, n_max)
             kernel.step(round, heard, alive)
             updated = orig_of[alive]
             self.rounds_executed[updated] = round

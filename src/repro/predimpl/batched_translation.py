@@ -53,6 +53,7 @@ from ..algorithms.batched import (
     BatchKernel,
     BatchOneThirdRule,
     BatchUnsupported,
+    encode_values,
     register_batch_kernel,
 )
 from ..algorithms.one_third_rule import OneThirdRule
@@ -115,7 +116,9 @@ class BatchTranslationKernel(BatchKernel):
         self.rounds_per_macro = f + 1
         self.row_n = None
         #: the embedded upper layer: owns values, estimates and decisions.
-        self._inner = BatchOneThirdRule(n, initial_values)
+        self._inner = BatchOneThirdRule(
+            n, [encode_values(list(values)) for values in initial_values]
+        )
         self.replicas = self._inner.replicas
         self.tables = self._inner.tables
         #: (R, n, n) bool -- listen[r, p, q]: p still listens to q.

@@ -75,6 +75,24 @@ class TestVectorizeOracles:
             expected = [oracles[0].ho_mask(round, p) for p in range(n)]
             assert rows == [expected] * replicas
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+    def test_broadcast_across_word_boundary(self, n):
+        """The single-word fill (n <= 64) and the word-spill loop agree with the scalar masks."""
+        import numpy as np
+
+        replicas = 2
+        oracle = IntersectOracle(
+            n,
+            StaticCrashOracle(n, {n - 1: 2}),
+            PartitionOracle(n, [range(n // 2), range(n // 2, n)], heal_round=3),
+        )
+        batch = vectorize_oracles([oracle] * replicas, replicas)
+        assert isinstance(batch, BroadcastBatchOracle)
+        active = np.ones(replicas, dtype=bool)
+        for round in (1, 2, 3, 4):
+            rows = self._masks_as_ints(batch.round_masks(round, active))
+            assert rows == [[oracle.ho_mask(round, p) for p in range(n)]] * replicas
+
     def test_per_replica_for_stateful_oracles(self):
         import numpy as np
 
@@ -220,3 +238,45 @@ class TestArrayBoundary:
         assert popcount_words(words).tolist() == [bit_count(m) for m in masks]
         repacked = pack_bools(bits, n)
         assert np.array_equal(repacked, words)
+
+    @staticmethod
+    def _random_masks(n, count, seed):
+        import random
+
+        from repro.rounds.bitmask import full_mask
+
+        rng = random.Random(seed)
+        return [rng.getrandbits(n) & full_mask(n) for _ in range(count)]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+    def test_three_dimensional_round_trip(self, n):
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools, unpack_words, words_array_from_masks
+
+        replicas = 3
+        masks = self._random_masks(n, replicas * n, seed=n)
+        words = words_array_from_masks(masks, n).reshape(replicas, n, -1)
+        bits = unpack_words(words, n)
+        assert bits.shape == (replicas, n, n) and bits.dtype == bool
+        for i, mask in enumerate(masks):
+            row = bits[i // n, i % n]
+            assert [int(b) for b in row] == [(mask >> q) & 1 for q in range(n)]
+        repacked = pack_bools(bits, n)
+        assert repacked.dtype == np.uint64
+        assert np.array_equal(repacked, words)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+    def test_broadcast_inputs(self, n):
+        """Zero-stride views, as BroadcastBatchOracle returns them."""
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools, unpack_words, words_array_from_masks
+
+        replicas = 4
+        row = words_array_from_masks(self._random_masks(n, n, seed=100 + n), n)
+        words = np.broadcast_to(row, (replicas, *row.shape))
+        assert not words.flags.c_contiguous
+        bits = unpack_words(words, n)
+        assert np.array_equal(bits, np.broadcast_to(unpack_words(row, n), bits.shape))
+        assert np.array_equal(pack_bools(np.broadcast_to(bits[0], bits.shape), n), words)

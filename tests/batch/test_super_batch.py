@@ -219,3 +219,49 @@ def test_scalar_fallback_without_numpy_matches(monkeypatch):
     assert backend.last_fallback_reason is not None
     assert "numpy" in backend.last_fallback_reason
     assert outcomes == get_backend("scalar").run(cell)
+
+
+@needs_numpy
+def test_values_are_encoded_once(monkeypatch):
+    """The eligibility pass's encodings feed the kernel: one encode per replica."""
+    import repro.algorithms.batched as batched
+
+    calls = []
+    encode = batched.encode_values
+
+    def counting(values):
+        calls.append(list(values))
+        return encode(values)
+
+    monkeypatch.setattr(batched, "encode_values", counting)
+    cells = [
+        make_cell(OneThirdRule, 4, 0, 3, FAMILIES["mobile"]),
+        make_cell(UniformVoting, 65, 10, 2),
+        make_cell(LastVoting, 7, 20, 2),
+    ]
+    results = SuperBatchBackend().run_batches(cells)
+    assert len(calls) == sum(cell.replicas for cell in cells)
+    scalar = get_backend("scalar")
+    assert results == [scalar.run(cell) for cell in cells]
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "values", [[1.0, 1, 2, 3], ["a", "a", "a", 1]], ids=["repr-collision", "unordered"]
+)
+def test_unencodable_cell_falls_back_per_cell(values):
+    from repro.algorithms.batched import BatchUnsupported, encode_values
+
+    with pytest.raises(BatchUnsupported) as expected:
+        encode_values(values)
+    odd = ReplicaBatch(
+        n=4,
+        tasks=[ReplicaTask(0, OneThirdRule(4), FaultFreeOracle(4), values)],
+        max_rounds=10,
+    )
+    eligible = make_cell(OneThirdRule, 4, 0, 2, FAMILIES["mobile"])
+    backend = SuperBatchBackend()
+    results = backend.run_batches([eligible, odd])
+    assert backend.last_fallback_reasons == {1: str(expected.value)}
+    scalar = get_backend("scalar")
+    assert results == [scalar.run(eligible), scalar.run(odd)]
