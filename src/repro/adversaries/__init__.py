@@ -22,9 +22,9 @@ satisfy or violate.
   violates any :class:`~repro.core.predicates.CommunicationPredicate`;
 * :mod:`~repro.adversaries.batch` -- the batched (replica-vectorised)
   environment layer: the :class:`~repro.adversaries.batch.BatchOracle`
-  protocol, broadcasting for the replica-invariant classic zoo and the
-  automatic per-replica fallback loop for the stateful dynamic/combinator
-  families.
+  protocol, broadcasting for the replica-invariant classic zoo, the bulk
+  Mersenne-Twister twin of seeded loss and the automatic per-replica
+  fallback loop for the remaining stateful families.
 
 ``repro.core.adversary`` remains as a thin compatibility shim re-exporting
 this package.
@@ -35,6 +35,7 @@ from .batch import (
     BroadcastBatchOracle,
     IntersectBatchOracle,
     PerReplicaBatchOracle,
+    RandomOmissionBatchDual,
     vectorize_oracles,
 )
 from .base import (
@@ -114,6 +115,7 @@ __all__ = [
     "BatchOracle",
     "BroadcastBatchOracle",
     "PerReplicaBatchOracle",
+    "RandomOmissionBatchDual",
     "IntersectBatchOracle",
     "vectorize_oracles",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`BatchOracle` produces, per round, the heard-of sets of *all* R
 replicas of a batch at once, as an ``(R, n, ceil(n/64))`` uint64 mask array
-(the word-spill layout of :func:`repro.rounds.bitmask.mask_to_words`).  Two
+(the word-spill layout of :func:`repro.rounds.bitmask.mask_to_words`).  Three
 strategies cover the whole oracle zoo:
 
 * :class:`BroadcastBatchOracle` -- for *replica-invariant* environments
@@ -11,28 +11,41 @@ strategies cover the whole oracle zoo:
   combinator over those).  The masks depend only on ``(round, process)``,
   so one scalar query per process is computed and broadcast across the
   replica axis -- the vectorised classic zoo.
+* :class:`RandomOmissionBatchDual` -- the loss twin for seeded
+  independent message loss (:class:`~repro.adversaries.classic.
+  RandomOmissionOracle`).  It clones every replica's ``oracle.loss``
+  Mersenne-Twister stream into a numpy ``RandomState``
+  (:func:`~repro.engine.rng.random_state_clone`) and draws a whole round
+  per replica in one call, in the scalar oracle's query order -- the same
+  numbers from the same generator state, so bit-identical by construction.
 * :class:`PerReplicaBatchOracle` -- the automatic fallback loop for the
-  stateful families (seeded omission/loss, the dynamic adversaries, any
-  combinator containing one).  Each replica owns the exact scalar oracle
-  the corresponding single run would use, queried replica by replica; the
-  transition kernels above stay vectorised, and bit-identity with the
-  scalar path is preserved because the very same oracle objects draw from
-  the very same :class:`~repro.engine.rng.SeededRng` streams.
+  remaining stateful families (the eventually-good loss/partition oracle,
+  kernel-only oracles, replica-varying deterministic oracles, any
+  combinator that cannot be decomposed).  Each replica owns the exact
+  scalar oracle the corresponding single run would use, queried replica by
+  replica; the transition kernels above stay vectorised, and bit-identity
+  with the scalar path is preserved because the very same oracle objects
+  draw from the very same :class:`~repro.engine.rng.SeededRng` streams.
 
-:func:`vectorize_oracles` picks the strategy.  Broadcasting additionally
-assumes the per-replica oracles were *constructed identically* (a
-replica-invariant oracle whose constructor arguments varied per seed would
-still differ across replicas); the scenario builders guarantee this by
-constructing deterministic oracles independently of the replica seed.
+:func:`vectorize_oracles` picks the strategy (the counter-based dynamic
+families get their array duals from :mod:`repro.adversaries.counter_batch`).
+Broadcasting additionally assumes the per-replica oracles were *constructed
+identically* (a replica-invariant oracle whose constructor arguments varied
+per seed would still differ across replicas); the scenario builders
+guarantee this by constructing deterministic oracles independently of the
+replica seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol, Sequence, runtime_checkable
+from typing import Any, Optional, Protocol, Sequence, runtime_checkable
 
 from .._optional import require_numpy
+from ..batch.arrays import pack_bools
+from ..engine.rng import random_state_clone
 from ..rounds.bitmask import full_mask, mask_to_words, word_count
 from .base import HOOracleBase
+from .classic import RandomOmissionOracle
 
 
 @runtime_checkable
@@ -122,6 +135,90 @@ class PerReplicaBatchOracle:
         return buffer
 
 
+class RandomOmissionBatchDual:
+    """Array twin of :class:`~repro.adversaries.classic.RandomOmissionOracle`.
+
+    Each replica's ``oracle.loss`` stream is cloned once, at construction,
+    into a numpy ``RandomState`` at the same MT19937 position.  Per round,
+    every active replica draws ``n*(n-1)`` uniforms in one call (``n*n``
+    when the self bit is drawn too): exactly the values the scalar oracle
+    draws for receivers ``0..n-1`` in order, senders ascending, self
+    skipped.  They are compared against the loss probability, scattered off
+    the diagonal of an ``(R, n, n)`` bool buffer and packed once.
+
+    Like the recurrence duals the stream only advances: the same round
+    again returns the stored words, a round behind the frontier raises
+    :class:`LookupError`.  Inactive replicas draw nothing, so their clone
+    stops exactly where a finished scalar run's stream stops.  The scalar
+    oracles themselves are never queried or advanced.
+    """
+
+    def __init__(self, oracles: Sequence[RandomOmissionOracle]) -> None:
+        np = require_numpy()
+        first = oracles[0]
+        n = first.n
+        self.np = np
+        self.n = n
+        self.replicas = len(oracles)
+        self.loss_probability = first.loss_probability
+        # Friend access within the adversaries package: the scalar stream.
+        self._states = [random_state_clone(oracle._stream) for oracle in oracles]
+        drawn = np.ones((n, n), dtype=bool)
+        if first.always_hear_self:
+            np.fill_diagonal(drawn, False)
+        # Row-major flat positions of the drawn (receiver, sender) pairs --
+        # the scalar draw order.
+        self._cells = np.flatnonzero(drawn)
+        self._heard = np.broadcast_to(~drawn, (self.replicas, n, n)).copy()
+        self._round = 0
+        self._words: Optional[Any] = None
+
+    def round_masks(self, round: int, active: Any) -> Any:
+        if round == self._round:
+            return self._words
+        if round < self._round:
+            raise LookupError(
+                f"loss round {round} is behind the batch frontier "
+                f"({self._round}); the loss streams only advance forward"
+            )
+        np = self.np
+        rows = np.flatnonzero(active)
+        count = self._cells.size
+        draws = np.empty((rows.size, count))
+        for i, r in enumerate(rows):
+            draws[i] = self._states[r].random_sample(count)
+        flat = self._heard.reshape(self.replicas, self.n * self.n)
+        flat[rows[:, None], self._cells] = draws >= self.loss_probability
+        self._round = round
+        self._words = pack_bools(self._heard, self.n)
+        return self._words
+
+
+def _loss_batch_dual(
+    oracles: Sequence[RandomOmissionOracle],
+) -> Optional[RandomOmissionBatchDual]:
+    """The loss twin when every replica's oracle is a fresh, unshared one.
+
+    Requires exactly :class:`RandomOmissionOracle` everywhere with one
+    ``(n, loss_probability, always_hear_self)``, never queried (empty memo:
+    the clone must start where the scalar run starts) and each drawing from
+    its own stream object (two replicas on one stream interleave draws).
+    """
+    first = oracles[0]
+    signature = (first.n, first.loss_probability, first.always_hear_self)
+    streams = set()
+    for oracle in oracles:
+        if type(oracle) is not RandomOmissionOracle or oracle._memo:
+            return None
+        if (oracle.n, oracle.loss_probability, oracle.always_hear_self) != signature:
+            return None
+        # Identity, not equality: id() is stable while the oracles are alive.
+        streams.add(id(oracle._stream))
+    if len(streams) != len(oracles):
+        return None
+    return RandomOmissionBatchDual(oracles)
+
+
 class IntersectBatchOracle:
     """Intersection of batch oracles (the batched ``IntersectOracle``)."""
 
@@ -140,6 +237,22 @@ class IntersectBatchOracle:
         for component in self.components[1:]:
             masks = masks & component.round_masks(round, active)
         return masks
+
+
+def needs_query_order(oracle: Any) -> bool:
+    """Whether a batch oracle's masks depend on the order it is queried in.
+
+    The per-replica loop and the loss twin draw from cursor-carrying
+    streams: their answers replay the scalar runs only when queried round
+    by round in the scalar order.  Such an oracle cannot share a decomposed
+    intersection with a second one (the two could share a stream, and
+    decomposition reorders draws across components), and the fused compiled
+    loop, which precomputes rounds ahead, refuses it.  An intersection needs
+    query order when any of its components does.
+    """
+    if isinstance(oracle, IntersectBatchOracle):
+        return any(needs_query_order(c) for c in oracle.components)
+    return isinstance(oracle, (PerReplicaBatchOracle, RandomOmissionBatchDual))
 
 
 def _structurally_equal(a: Any, b: Any) -> bool:
@@ -185,17 +298,19 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
     (:mod:`repro.adversaries.counter_batch`): a batch of one family with
     shared construction parameters is served by its array dual, which
     recomputes the scalar oracles' draws array-wide -- bit-identical with
-    no per-replica loop.
+    no per-replica loop.  Seeded independent loss is served by
+    :class:`RandomOmissionBatchDual`, which replays the very same
+    Mersenne-Twister streams in bulk.
 
     Intersections decompose: a batch of ``IntersectOracle``\\ s is rebuilt
     as an :class:`IntersectBatchOracle` whose components broadcast or run
-    their counter duals independently.  Decomposition reorders queries
-    *across* components (component by component instead of process by
-    process), which is invisible to broadcast and counter-based components
-    (their draws carry no cursor) but would change the draw interleaving of
-    two *sequential* stateful components sharing a stream -- so the guard
-    that remains is: at most one component may resolve to the opaque
-    :class:`PerReplicaBatchOracle` loop.
+    their duals independently.  Decomposition reorders queries *across*
+    components (component by component instead of process by process),
+    which is invisible to broadcast and counter-based components (their
+    draws carry no cursor) but would change the draw interleaving of two
+    *sequential* stateful components sharing a stream -- so the guard that
+    remains is: at most one component may need query order
+    (:func:`needs_query_order`).
     """
     from .combinators import IntersectOracle
     from .counter_batch import counter_batch_dual
@@ -207,6 +322,8 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
     ):
         return BroadcastBatchOracle(oracles[0], replicas)
     dual = counter_batch_dual(oracles, replicas)
+    if dual is None and type(oracles[0]) is RandomOmissionOracle:
+        dual = _loss_batch_dual(oracles)
     if dual is not None:
         return dual
     if isinstance(oracles[0], IntersectOracle):
@@ -219,10 +336,7 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
                 vectorize_oracles([oracle.oracles[i] for oracle in oracles], replicas)
                 for i in range(arity)
             ]
-            sequential = sum(
-                1 for c in components if isinstance(c, PerReplicaBatchOracle)
-            )
-            if sequential <= 1:
+            if sum(map(needs_query_order, components)) <= 1:
                 return IntersectBatchOracle(*components)
     return PerReplicaBatchOracle(oracles)
 
@@ -231,6 +345,8 @@ __all__ = [
     "BatchOracle",
     "BroadcastBatchOracle",
     "PerReplicaBatchOracle",
+    "RandomOmissionBatchDual",
     "IntersectBatchOracle",
+    "needs_query_order",
     "vectorize_oracles",
 ]

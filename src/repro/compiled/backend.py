@@ -15,8 +15,9 @@ compiled loop can engage:
    Python observation, which is exactly the dispatch the fused loop
    removes -- they keep the numpy batch path, whose monitors and
    fingerprints are already bit-identical to scalar);
-4. the batch's oracles vectorise without the stateful per-replica query
-   loop (chunked mask precompute needs pure, order-free oracles).
+4. the batch's oracles vectorise to order-free batch oracles (chunked
+   mask precompute cannot replay a stream cursor; see
+   :func:`repro.adversaries.batch.needs_query_order`).
 
 When any check fails the batch runs on the numpy
 :class:`~repro.batch.backends.BatchBackend` instead -- which itself
@@ -33,7 +34,7 @@ environment pin the cores' bit-identity.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .._optional import have_numba, have_numpy
 from ..batch.backends import BatchBackend
@@ -41,20 +42,6 @@ from ..rounds.backend import ReplicaBatch, ReplicaOutcome, register_backend
 from ..rounds.fallback import FallbackReason
 from .engine import CompiledEngine
 from .kernels import compiled_kernel_for
-
-
-def _needs_replica_loop(oracle: Any) -> bool:
-    """Whether a vectorised oracle resolves to the stateful query loop."""
-    from ..adversaries.batch import IntersectBatchOracle, PerReplicaBatchOracle
-
-    if isinstance(oracle, PerReplicaBatchOracle):
-        return True
-    if isinstance(oracle, IntersectBatchOracle):
-        return any(
-            isinstance(component, PerReplicaBatchOracle)
-            for component in oracle.components
-        )
-    return False
 
 
 class CompiledBackend:
@@ -121,7 +108,7 @@ class CompiledBackend:
     def _try_build_engine(
         self, batch: ReplicaBatch
     ) -> Tuple[Optional[CompiledEngine], Optional[str]]:
-        from ..adversaries.batch import vectorize_oracles
+        from ..adversaries.batch import needs_query_order, vectorize_oracles
         from ..algorithms.batched import BatchUnsupported, batch_kernel_for
 
         kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
@@ -136,7 +123,7 @@ class CompiledBackend:
         oracle = vectorize_oracles(
             [task.oracle for task in batch.tasks], batch.replicas
         )
-        if _needs_replica_loop(oracle):
+        if needs_query_order(oracle):
             return None, FallbackReason.OPAQUE_COMPILED_ORACLE.render()
         compiled = have_numba() and not self.interpreted
         return CompiledEngine(batch, kernel, oracle, spec, compiled), None

@@ -12,8 +12,10 @@ Chunk precompute is sound because the backend only admits *pure* batch
 oracles -- broadcast wrappers over deterministic scalar oracles and the
 counter-based duals, whose ``round_masks`` is a function of the round
 number alone (recurrence duals advance monotonically, which chunked
-forward queries respect).  The stateful :class:`PerReplicaBatchOracle`
-loop, whose query order must replay the scalar runs exactly, is rejected
+forward queries respect).  Oracles whose query order must replay the
+scalar runs exactly -- the stateful :class:`PerReplicaBatchOracle` loop and
+the cursor-carrying loss twin :class:`RandomOmissionBatchDual`
+(:func:`~repro.adversaries.batch.needs_query_order`) -- are rejected
 upstream (``OPAQUE_COMPILED_ORACLE``).  A chunk may query rounds the
 scalar path never reaches (replicas that decide mid-chunk); if an oracle
 raises mid-precompute the chunk truncates, and the error surfaces only if

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import random  # repro: noqa[REP001] -- SeededRng IS the sanctioned wrapper around the random module
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
+from .._optional import require_numpy
 from .counter import CounterStream
 
 
@@ -30,6 +31,24 @@ def derive_seed(seed: int, name: str) -> int:
     """A stable 64-bit sub-seed for stream *name* under master *seed*."""
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def random_state_clone(stream: random.Random) -> Any:
+    """A numpy ``RandomState`` that continues *stream* draw for draw.
+
+    ``random.Random.random()`` is MT19937 ``genrand_res53`` and the legacy
+    ``RandomState.random_sample()`` is the same 53-bit formula over the same
+    generator, so copying the 624 state words and the position makes every
+    later ``random_sample`` value equal to the next ``random()`` values of
+    *stream*.  *stream* itself is left untouched.  The ``RandomState`` is
+    seeded before its state is overwritten so construction never reads
+    ambient entropy.
+    """
+    np = require_numpy()
+    _version, internal, _gauss = stream.getstate()
+    clone = np.random.RandomState(0)
+    clone.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    return clone
 
 
 class SeededRng:
@@ -87,4 +106,4 @@ class SeededRng:
         return iter(self._streams.items())
 
 
-__all__ = ["SeededRng", "derive_seed"]
+__all__ = ["SeededRng", "derive_seed", "random_state_clone"]

@@ -57,7 +57,7 @@ class FallbackReason(Enum):
     NO_NUMBA = "numba unavailable (install the 'compiled' extra)"
     NO_COMPILED_KERNEL = "no compiled dual for {kernel}"
     OPAQUE_COMPILED_ORACLE = (
-        "oracle needs the per-replica query loop; the fused round loop "
+        "oracle must be queried in the scalar order; the fused round loop "
         "cannot precompute its masks"
     )
     MONITORED_COMPILED_CELL = "monitored runs take the numpy batch path"

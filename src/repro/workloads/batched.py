@@ -22,8 +22,10 @@ classic oracle zoo:
   fault-free rounds, a transient crash window of the last process, then
   fault-free again (still replica-invariant);
 * ``lossy``          -- :class:`RandomOmissionOracle` (seeded, stateful:
-  the batch backend engages its automatic per-replica fallback loop for
-  the environment while the transitions stay vectorised).
+  the batch and super backends draw it with its bulk Mersenne-Twister
+  twin, :class:`~repro.adversaries.batch.RandomOmissionBatchDual`, which
+  replays each replica's loss stream bit for bit; the compiled tier
+  refuses it and hands the cell to the batch backend).
 
 Replicas differ even under the deterministic fault models because every
 seed shuffles the initial-value assignment through the run's

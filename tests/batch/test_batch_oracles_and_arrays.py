@@ -20,7 +20,12 @@ from repro.adversaries import (
     WindowSwitchOracle,
     vectorize_oracles,
 )
-from repro.adversaries.batch import BroadcastBatchOracle, IntersectBatchOracle, PerReplicaBatchOracle
+from repro.adversaries.batch import (
+    BroadcastBatchOracle,
+    IntersectBatchOracle,
+    PerReplicaBatchOracle,
+    RandomOmissionBatchDual,
+)
 from repro.engine.rng import SeededRng
 
 pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -104,7 +109,7 @@ class TestVectorizeOracles:
             ]
 
         batch = vectorize_oracles(fresh(), replicas)
-        assert isinstance(batch, PerReplicaBatchOracle)
+        assert isinstance(batch, RandomOmissionBatchDual)
         reference = fresh()
         active = np.ones(replicas, dtype=bool)
         for round in (1, 2, 3):
@@ -173,7 +178,7 @@ class TestVectorizeOracles:
         batch = vectorize_oracles([build(i) for i in range(replicas)], replicas)
         assert isinstance(batch, IntersectBatchOracle)
         kinds = {type(c) for c in batch.components}
-        assert kinds == {BroadcastBatchOracle, PerReplicaBatchOracle}
+        assert kinds == {BroadcastBatchOracle, RandomOmissionBatchDual}
         reference = [build(i) for i in range(replicas)]
         active = np.ones(replicas, dtype=bool)
         for round in (1, 2, 3):
