@@ -62,7 +62,7 @@ class ProcessContext:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self._simulator.now
+        return self._simulator._clock.now
 
     @property
     def process_id(self) -> ProcessId:
@@ -154,6 +154,7 @@ class EventSimulator:
         self.crash_times = dict(crash_times or {})
         self.recovery_times = dict(recovery_times or {})
         self._engine = EngineCore(seed)
+        self._clock = self._engine.clock
         self._loss_rng = self._engine.rng.stream("channel.loss")
         self._delay_rng = self._engine.rng.stream("channel.delay")
         self._engine.attach_faults(
@@ -178,7 +179,7 @@ class EventSimulator:
     @property
     def now(self) -> float:
         """Current simulated time (owned by the engine clock)."""
-        return self._engine.now
+        return self._clock.now
 
     # ------------------------------------------------------------------ #
     # registration / posting
@@ -201,7 +202,7 @@ class EventSimulator:
             return
         delay = self._delay_rng.uniform(self.channel.min_delay, self.channel.max_delay)
         self._post(
-            self.now + delay,
+            self._clock.now + delay,
             EventKind.DELIVER,
             destination,
             sender=sender,
@@ -215,7 +216,7 @@ class EventSimulator:
         timer_id = self._next_timer_id
         self._next_timer_id += 1
         self._post(
-            self.now + delay,
+            self._clock.now + delay,
             EventKind.TIMER,
             process,
             timer_name=name,
@@ -229,7 +230,7 @@ class EventSimulator:
 
     def record_decision(self, process: ProcessId, value: Any) -> None:
         if process not in self.decisions:
-            self.decisions[process] = DecisionEvent(process, value, self.now)
+            self.decisions[process] = DecisionEvent(process, value, self._clock.now)
 
     # ------------------------------------------------------------------ #
     # queries used by failure detectors and tests
@@ -327,8 +328,8 @@ class EventSimulator:
 
     def run_until_all_decided(self, until: float, scope: Optional[Iterable[ProcessId]] = None):
         """Run until every process in *scope* decided or time *until* is reached."""
-        scope_set = set(range(self.n)) if scope is None else set(scope)
-        return self.run(until, stop_when=lambda sim: sim.all_decided(scope_set))
+        scope_set = frozenset(range(self.n) if scope is None else scope)
+        return self.run(until, stop_when=lambda sim: scope_set.issubset(sim.decisions))
 
     def _dispatch(self, event: Any) -> None:
         if isinstance(event, FaultEvent):

@@ -73,23 +73,24 @@ class EngineCore:
     ) -> bool:
         """Drain events with ``time <= until`` through *dispatch*.
 
+        *stop_when* is polled before the first event and after each one.
         The clock advances to each event's time before it is dispatched and,
         unless *stop_when* fired, ends at ``max(now, until)``.  Returns
-        whether the run stopped early.
+        whether the run stopped early; the events not yet dispatched stay
+        queued, so a later call resumes them in order.
         """
-        stopped = stop_when is not None and stop_when()
-        while not stopped:
-            next_time = self.queue.next_time()
-            if next_time is None or next_time > until:
-                break
-            time, _, event = self.queue.pop()
-            self.clock.advance(time)
+        if stop_when is not None and stop_when():
+            return True
+        clock = self.clock
+        for time, event in self.queue.pop_due(until):
+            if time > clock.now:
+                clock.now = time
             dispatch(event)
             if stop_when is not None and stop_when():
-                stopped = True
-        if not stopped:
-            self.clock.advance(until)
-        return stopped
+                return True
+        if until > clock.now:
+            clock.now = until
+        return False
 
 
 __all__ = ["EngineCore", "Dispatch", "StopCondition"]

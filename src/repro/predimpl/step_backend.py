@@ -286,20 +286,22 @@ class ScalarStepBackend:
         monitor: Optional[Any],
         scope: Tuple[int, ...],
     ) -> Optional[Callable[[], bool]]:
-        conditions: List[Callable[[], bool]] = []
-        if monitor is not None:
-            conditions.append(lambda: bool(getattr(monitor, "stop_requested", False)))
-        if not batch.run_full_horizon and scope:
-            scope_set = frozenset(scope)
-            decisions = trace.decisions
-            conditions.append(lambda: scope_set.issubset(decisions))
-        if env.fault_model == "fault-free":
-            # Always-good runs have no meaningful time horizon; cut the
-            # simulation once the lockstep front passes the round horizon.
-            conditions.append(lambda: trace.max_round() > batch.max_rounds)
-        if not conditions:
+        scope_set = frozenset(scope) if scope and not batch.run_full_horizon else None
+        # Always-good runs have no meaningful time horizon; cut the
+        # simulation once the lockstep front passes the round horizon.
+        max_rounds = batch.max_rounds if env.fault_model == "fault-free" else None
+        if monitor is None and scope_set is None and max_rounds is None:
             return None
-        return lambda: any(condition() for condition in conditions)
+        decisions = trace.decisions
+
+        def stop() -> bool:
+            return (
+                (monitor is not None and bool(getattr(monitor, "stop_requested", False)))
+                or (scope_set is not None and scope_set.issubset(decisions))
+                or (max_rounds is not None and trace.max_round() > max_rounds)
+            )
+
+        return stop
 
     # ------------------------------------------------------------------ #
     # the trace -> outcome projection

@@ -32,10 +32,21 @@ from .periods import PeriodSchedule
 if TYPE_CHECKING:
     import random
 
+#: Default of :meth:`Network.plan_delivery`'s *period*: look the period up.
+_LOOK_UP: Any = object()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Envelope:
-    """A message in transit or in a reception buffer."""
+    """A message in transit or in a reception buffer.
+
+    Envelopes compare (and hash) by identity: the ``in`` / ``remove`` of
+    make-ready and receive steps then compare pointers instead of fields.
+    That changes no behaviour: sequence numbers are unique per
+    :class:`Network`, so two distinct envelopes of one network were never
+    equal under field equality either, and nothing hashes envelopes or
+    keeps them in sets.
+    """
 
     sender: ProcessId
     receiver: ProcessId
@@ -150,7 +161,7 @@ class Network:
             self.messages_sent += 1
         return envelopes
 
-    def plan_delivery(self, envelope: Envelope) -> Optional[float]:
+    def plan_delivery(self, envelope: Envelope, period: Any = _LOOK_UP) -> Optional[float]:
         """Decide when *envelope* becomes ready for reception.
 
         Returns the make-ready time, or ``None`` when the message is lost.
@@ -158,8 +169,13 @@ class Network:
         synchronous core at send time, the message is ready within ``delta``
         (scaled by ``good_delay_factor``; 1.0 reproduces the worst case used
         by the analytic bounds).  Otherwise the bad-period behaviour applies.
+
+        A caller that already looked up the good period at the send time
+        passes it as *period* (``None`` for a bad period); otherwise it is
+        looked up here.
         """
-        period = self.schedule.period_at(envelope.send_time)
+        if period is _LOOK_UP:
+            period = self.schedule.period_at(envelope.send_time)
         synchronous = (
             period is not None
             and envelope.sender in period.pi0
@@ -179,17 +195,13 @@ class Network:
         Returns ``False`` when the message is no longer in transit (it was
         purged by a crash or by the start of a pi0-down good period).
         """
-        in_transit = self.network[envelope.receiver]
-        if envelope not in in_transit:
+        try:
+            self.network[envelope.receiver].remove(envelope)
+        except ValueError:
             return False
-        in_transit.remove(envelope)
         self.buffer[envelope.receiver].append(envelope)
         self.messages_made_ready += 1
         return True
-
-    def buffered(self, process: ProcessId) -> List[Envelope]:
-        """The current contents of ``buffer_p`` (not copied; do not mutate)."""
-        return self.buffer[process]
 
     def take_from_buffer(self, process: ProcessId, envelope: Envelope) -> None:
         """Remove *envelope* from ``buffer_p`` after a receive step consumed it."""

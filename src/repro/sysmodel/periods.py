@@ -144,10 +144,10 @@ class PeriodSchedule:
     def period_at(self, time: float) -> Optional[GoodPeriod]:
         """The good period containing *time*, or ``None`` when in a bad period."""
         for period in self.good_periods:
-            if period.contains(time):
-                return period
             if period.start > time:
                 break
+            if time < period.end:
+                return period
         return None
 
     def is_good(self, time: float) -> bool:

@@ -27,7 +27,6 @@ replayed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.types import ProcessId
@@ -46,15 +45,21 @@ from .process import (
 from .trace import SystemRunTrace
 
 
-@dataclass(frozen=True)
 class _Event:
-    """An entry of the event queue (ordering is imposed by the engine queue)."""
+    """A process-step entry of the event queue (ordering is imposed by the queue).
 
-    kind: str
-    process: Optional[ProcessId] = None
-    generation: int = 0
-    envelope: Optional[Envelope] = None
-    period: Optional[GoodPeriod] = None
+    The other entries are queued as themselves: an :class:`Envelope` is its
+    own make-ready event, a :class:`GoodPeriod` its own period start, and
+    fault events are the engine's :class:`~repro.engine.faults.FaultEvent`.
+    *generation* is the process's ``schedule_generation`` at scheduling time;
+    a step whose generation is stale is ignored.
+    """
+
+    __slots__ = ("process", "generation")
+
+    def __init__(self, process: ProcessId, generation: int) -> None:
+        self.process = process
+        self.generation = generation
 
 
 class SystemSimulator:
@@ -121,6 +126,8 @@ class SystemSimulator:
             )
         self.trace = trace if trace is not None else SystemRunTrace(n=self.n)
         self._engine = EngineCore(seed)
+        self._clock = self._engine.clock
+        self._schedule_event = self._engine.queue.schedule
         self._rng = self._engine.rng.stream("steps")
         self._injector = self._engine.attach_faults(
             self.fault_schedule,
@@ -143,7 +150,7 @@ class SystemSimulator:
     @property
     def now(self) -> float:
         """Current simulated time (owned by the engine clock)."""
-        return self._engine.now
+        return self._clock.now
 
     @property
     def skipped_fault_events(self) -> List[FaultEvent]:
@@ -155,14 +162,7 @@ class SystemSimulator:
     # ------------------------------------------------------------------ #
 
     def _schedule_step(self, process: ProcessId, time: float) -> None:
-        runtime = self.runtimes[process]
-        self._engine.queue.schedule(
-            time,
-            _Event(kind="step", process=process, generation=runtime.schedule_generation),
-        )
-
-    def _schedule_make_ready(self, envelope: Envelope, time: float) -> None:
-        self._engine.queue.schedule(time, _Event(kind="make_ready", envelope=envelope))
+        self._schedule_event(time, _Event(process, self.runtimes[process].schedule_generation))
 
     # ------------------------------------------------------------------ #
     # start-up
@@ -177,7 +177,7 @@ class SystemSimulator:
             if first_gap is not None:
                 self._schedule_step(process, first_gap)
         for period in self.schedule.good_periods:
-            self._engine.queue.schedule(period.start, _Event(kind="period_start", period=period))
+            self._schedule_event(period.start, period)
         self._engine.arm_faults()
 
     # ------------------------------------------------------------------ #
@@ -186,22 +186,19 @@ class SystemSimulator:
 
     def _step_gap(self, process: ProcessId, time: float) -> Optional[float]:
         """The time until the next step of *process*, or ``None`` to not schedule one."""
-        if self.schedule.is_down(process, time):
-            return None
-        if self.schedule.is_synchronous(process, time):
+        period = self.schedule.period_at(time)
+        if period is None:
+            return self._bad_step_gap()
+        if process in period.pi0:
             return self.good_step_gap
+        if period.kind is GoodPeriodKind.PI0_DOWN:
+            return None
+        return self._bad_step_gap()
+
+    def _bad_step_gap(self) -> float:
+        """A bad-period step gap (one ``uniform`` draw on the ``steps`` stream)."""
         behavior = self.bad_process_behavior
         return self._rng.uniform(behavior.min_step_gap, behavior.max_step_gap)
-
-    def _stalls(self, process: ProcessId, time: float) -> bool:
-        """Whether a bad-period process skips the step it was about to take."""
-        if self.schedule.is_synchronous(process, time):
-            return False
-        return self._rng.random() < self.bad_period_stall_probability
-
-    @property
-    def bad_period_stall_probability(self) -> float:
-        return self.bad_process_behavior.stall_probability
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -209,61 +206,70 @@ class SystemSimulator:
 
     def _handle_step(self, event: _Event) -> None:
         process = event.process
-        assert process is not None
         runtime = self.runtimes[process]
         if not runtime.up or event.generation != runtime.schedule_generation:
             return
-        if self.schedule.is_down(process, self.now):
-            # Down processes take no steps; they will be rescheduled when they recover.
+        # One period lookup serves the whole step: the stall draw, the
+        # delivery plan of every envelope sent now, and the next gap.
+        now = self._clock.now
+        period = self.schedule.period_at(now)
+        if period is not None and process in period.pi0:
+            self._execute_step(process, runtime, now, period)
+            gap = self.good_step_gap
+        elif period is not None and period.kind is GoodPeriodKind.PI0_DOWN:
+            # Down processes take no steps; they are rescheduled when they recover.
             return
+        else:
+            # A bad-period step may stall; either way the gap is drawn after.
+            if self._rng.random() >= self.bad_process_behavior.stall_probability:
+                self._execute_step(process, runtime, now, period)
+            gap = self._bad_step_gap()
+        # A step changes no schedule generation, so the event is still current.
+        self._schedule_event(now + gap, event)
 
-        if not self._stalls(process, self.now):
-            self._execute_step(process, runtime)
-
-        gap = self._step_gap(process, self.now)
-        if gap is not None and runtime.up:
-            self._schedule_step(process, self.now + gap)
-
-    def _execute_step(self, process: ProcessId, runtime: ProcessRuntime) -> None:
+    def _execute_step(
+        self,
+        process: ProcessId,
+        runtime: ProcessRuntime,
+        now: float,
+        period: Optional[GoodPeriod],
+    ) -> None:
         action = runtime.next_action()
         if action is None:
             return
+        trace = self.trace
+        network = self.network
         if isinstance(action, SendStep):
-            receivers = list(range(self.n)) if action.to is None else [action.to]
-            envelopes = self.network.send(process, receivers, action.payload, self.now)
-            self.trace.messages_sent += len(envelopes)
+            receivers = range(self.n) if action.to is None else (action.to,)
+            envelopes = network.send(process, receivers, action.payload, now)
+            trace.messages_sent += len(envelopes)
             for envelope in envelopes:
-                ready_time = self.network.plan_delivery(envelope)
+                ready_time = network.plan_delivery(envelope, period)
                 if ready_time is None:
-                    self.trace.messages_dropped += 1
+                    trace.messages_dropped += 1
                 else:
-                    self._schedule_make_ready(envelope, max(ready_time, self.now))
-            self.trace.total_send_steps += 1
-            runtime.complete_step(StepResult(time=self.now))
+                    self._schedule_event(ready_time if ready_time > now else now, envelope)
+            trace.total_send_steps += 1
+            runtime.complete_step(StepResult(time=now))
         elif isinstance(action, ReceiveStep):
-            buffered = self.network.buffered(process)
+            buffered = network.buffer[process]
             envelope = runtime.program.select_message(buffered) if buffered else None
             if envelope is not None:
-                self.network.take_from_buffer(process, envelope)
-            self.trace.total_receive_steps += 1
-            runtime.complete_step(StepResult(time=self.now, envelope=envelope))
+                network.take_from_buffer(process, envelope)
+            trace.total_receive_steps += 1
+            runtime.complete_step(StepResult(time=now, envelope=envelope))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step action {action!r}")
 
-    def _handle_make_ready(self, event: _Event) -> None:
-        assert event.envelope is not None
-        self.network.make_ready(event.envelope)
-
-    def _handle_period_start(self, event: _Event) -> None:
-        period = event.period
-        assert period is not None
+    def _handle_period_start(self, period: GoodPeriod) -> None:
+        now = self._clock.now
         if period.kind in (GoodPeriodKind.PI0_DOWN, GoodPeriodKind.PI_GOOD):
             outside = [p for p in range(self.n) if p not in period.pi0]
             for process in outside:
                 runtime = self.runtimes[process]
                 if runtime.up:
                     runtime.crash()
-                    self.trace.record_crash(process, self.now)
+                    self.trace.record_crash(process, now)
                     self.network.purge_process_state(process)
             if outside:
                 self.network.purge_messages_from(outside)
@@ -271,10 +277,10 @@ class SystemSimulator:
             runtime = self.runtimes[process]
             if not runtime.up:
                 runtime.recover()
-                self.trace.record_recovery(process, self.now)
+                self.trace.record_recovery(process, now)
             else:
                 runtime.schedule_generation += 1
-            self._schedule_step(process, self.now + self.good_step_gap)
+            self._schedule_step(process, now + self.good_step_gap)
 
     # ------------------------------------------------------------------ #
     # fault-injection hooks (called by the engine's CrashRecoveryInjector)
@@ -282,7 +288,7 @@ class SystemSimulator:
 
     def _fault_vetoed(self, fault: FaultEvent) -> bool:
         # Good periods forbid faults on processes in their synchronous scope.
-        return self.schedule.is_synchronous(fault.process, self.now)
+        return self.schedule.is_synchronous(fault.process, self._clock.now)
 
     def _apply_crash(self, process: ProcessId) -> bool:
         runtime = self.runtimes[process]
@@ -297,9 +303,10 @@ class SystemSimulator:
         if runtime.up:
             return False
         runtime.recover()
-        gap = self._step_gap(process, self.now)
+        now = self._clock.now
+        gap = self._step_gap(process, now)
         if gap is not None:
-            self._schedule_step(process, self.now + gap)
+            self._schedule_step(process, now + gap)
         return True
 
     # ------------------------------------------------------------------ #
@@ -322,16 +329,17 @@ class SystemSimulator:
         return self.trace
 
     def _dispatch(self, event: Any) -> None:
-        if isinstance(event, FaultEvent):
-            self._injector.apply(event)
-        elif event.kind == "step":
+        kind = type(event)
+        if kind is _Event:
             self._handle_step(event)
-        elif event.kind == "make_ready":
-            self._handle_make_ready(event)
-        elif event.kind == "period_start":
+        elif kind is Envelope:
+            self.network.make_ready(event)
+        elif isinstance(event, FaultEvent):
+            self._injector.apply(event)
+        elif isinstance(event, GoodPeriod):
             self._handle_period_start(event)
         else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown event kind {event.kind!r}")
+            raise ValueError(f"unknown event {event!r}")
 
     def _finalise_trace(self) -> None:
         self.trace.messages_dropped = self.network.messages_dropped

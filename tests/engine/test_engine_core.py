@@ -175,3 +175,48 @@ class TestEngineCoreRunLoop:
         engine.queue.schedule(1.0, "first")
         engine.run(5.0, dispatch)
         assert seen == ["first", "second"]
+
+
+class TestEngineCoreRunContract:
+    """The drain-loop contract both simulators rely on."""
+
+    def test_stop_when_already_true_runs_nothing(self):
+        engine = EngineCore(seed=0)
+        engine.clock.advance(3.0)
+        engine.queue.schedule(4.0, "pending")
+        seen = []
+        stopped = engine.run(10.0, seen.append, stop_when=lambda: True)
+        assert stopped
+        assert seen == []
+        assert engine.now == 3.0  # clock unchanged
+        assert len(engine.queue) == 1
+
+    def test_stopped_run_leaves_rest_queued_and_resumes_in_order(self):
+        engine = EngineCore(seed=0)
+        for label, t in (("c", 3.0), ("a", 1.0), ("d", 3.0), ("b", 2.0)):
+            engine.queue.schedule(t, label)
+        seen = []
+        assert engine.run(10.0, seen.append, stop_when=lambda: len(seen) == 2)
+        assert seen == ["a", "b"]
+        assert len(engine.queue) == 2
+        assert engine.now == 2.0
+        assert not engine.run(10.0, seen.append)
+        assert seen == ["a", "b", "c", "d"]
+        assert engine.now == 10.0
+
+    def test_event_exactly_at_until_is_dispatched(self):
+        engine = EngineCore(seed=0)
+        engine.queue.schedule(5.0, "edge")
+        engine.queue.schedule(5.0 + 1e-9, "after")
+        seen = []
+        engine.run(5.0, seen.append)
+        assert seen == ["edge"]
+        assert engine.now == 5.0
+        assert engine.queue.next_time() == 5.0 + 1e-9
+
+    def test_clock_ends_at_until_on_empty_queue(self):
+        engine = EngineCore(seed=0)
+        assert not engine.run(7.5, lambda event: None, stop_when=lambda: False)
+        assert engine.now == 7.5
+        engine.run(2.0, lambda event: None)  # never backwards
+        assert engine.now == 7.5

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sysmodel.network import BadPeriodNetwork, Network
+from repro.sysmodel.network import BadPeriodNetwork, Envelope, Network
 from repro.sysmodel.params import SynchronyParams
 from repro.sysmodel.periods import GoodPeriodKind, PeriodSchedule
 
@@ -124,3 +124,55 @@ class TestPurges:
             make_network(good_delay_factor=0.0)
         with pytest.raises(ValueError):
             make_network(good_delay_factor=1.5)
+
+
+class TestEnvelopeIdentity:
+    """Envelopes compare by identity: only the envelope passed in moves."""
+
+    def _twins(self):
+        first = Envelope(sender=0, receiver=1, payload="m", send_time=0.0, sequence=7)
+        second = Envelope(sender=0, receiver=1, payload="m", send_time=0.0, sequence=7)
+        return first, second
+
+    def test_equal_fields_are_distinct(self):
+        first, second = self._twins()
+        assert first != second
+        assert first == first
+
+    def test_make_ready_moves_only_the_passed_envelope(self):
+        network = make_network()
+        first, second = self._twins()
+        network.network[1].extend([first, second])
+        assert network.make_ready(second)
+        assert len(network.network[1]) == 1 and network.network[1][0] is first
+        assert len(network.buffer[1]) == 1 and network.buffer[1][0] is second
+
+    def test_take_from_buffer_removes_only_the_passed_envelope(self):
+        network = make_network()
+        first, second = self._twins()
+        network.buffer[1].extend([first, second])
+        network.take_from_buffer(1, second)
+        assert len(network.buffer[1]) == 1 and network.buffer[1][0] is first
+
+    def test_make_ready_of_sender_purged_envelope_never_reaches_buffer(self):
+        network = make_network()
+        envelope = network.send(0, [1], "m", time=0.0)[0]
+        network.purge_messages_from([0])
+        assert not network.make_ready(envelope)
+        assert network.buffer[1] == []
+        assert network.messages_made_ready == 0
+
+
+class TestPlanDeliveryPeriod:
+    def test_passed_period_matches_the_lookup(self):
+        schedule = PeriodSchedule.single_good_period(
+            3, start=10.0, length=5.0, kind=GoodPeriodKind.PI0_ARBITRARY, pi0=[0, 1]
+        )
+        looked_up = make_network(schedule=schedule, seed=4)
+        passed = make_network(schedule=schedule, seed=4)
+        for time in (0.0, 10.0, 12.0, 15.0):
+            for receiver in range(3):
+                envelope = looked_up.send(0, [receiver], "m", time=time)[0]
+                twin = passed.send(0, [receiver], "m", time=time)[0]
+                period = schedule.period_at(time)
+                assert looked_up.plan_delivery(envelope) == passed.plan_delivery(twin, period)
