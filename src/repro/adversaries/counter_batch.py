@@ -67,6 +67,17 @@ class _CounterDualBase:
         eye = np.ones((1, n), dtype=bool)
         self._full_words = np.broadcast_to(pack_bools(eye, n), (n, W))
 
+    def _tag_keys(self, *tags: int) -> Any:
+        """Per tag, the ``(R,)`` chain state after absorbing ``(key, tag)``.
+
+        Every draw of one type shares that constant prefix, and the hash
+        chain is a fold, so ``counter_hash_array(tag_keys, rest)`` equals
+        ``counter_hash_array(keys, [tag, *rest])``: computing the prefix
+        once here saves one chain link per draw.
+        """
+        np = self.np
+        return [counter_hash_array(np, self.keys, [np.uint64(tag)]) for tag in tags]
+
     def _full_rows(self) -> Any:
         """The all-heard ``(R, n, W)`` array (stabilised / healed rounds)."""
         np = self.np
@@ -121,6 +132,7 @@ class RotatingPartitionBatchDual(_CounterDualBase):
         self.period = first.period
         self.churn = first.churn
         self.heal_from = first.heal_from
+        self._churn_keys, self._block_keys = self._tag_keys(0, 1)
         self._assignment: Optional[Any] = None
         self._next_epoch = 0
         self._epoch: Optional[int] = None
@@ -131,17 +143,13 @@ class RotatingPartitionBatchDual(_CounterDualBase):
         while self._next_epoch <= epoch:
             e = self._next_epoch
             block_draw = counter_hash_array(
-                np,
-                self.keys[:, None],
-                [np.uint64(1), np.uint64(e), self._arange],
+                np, self._block_keys[:, None], [np.uint64(e), self._arange]
             ) % np.uint64(self.blocks)
             if self._assignment is None:
                 assignment = block_draw
             else:
                 churn_u = units_of_counters(
-                    np,
-                    self.keys[:, None],
-                    [np.uint64(0), np.uint64(e), self._arange],
+                    np, self._churn_keys[:, None], [np.uint64(e), self._arange]
                 )
                 assignment = np.where(
                     churn_u < self.churn, block_draw, self._assignment
@@ -188,6 +196,9 @@ class BurstyLossBatchDual(_CounterDualBase):
         self.loss_burst = first.loss_burst
         self.loss_good = first.loss_good
         self.stable_from = first.stable_from
+        self._state_keys, self._loss_keys = (
+            keys[:, None, None] for keys in self._tag_keys(0, 1)
+        )
         self._bursty = np.zeros((self.replicas, self.n, self.n), dtype=bool)
         self._computed_round = 0
         self._round_words: Optional[Any] = None
@@ -198,21 +209,16 @@ class BurstyLossBatchDual(_CounterDualBase):
         np = self.np
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
-        keys = self.keys[:, None, None]
         while self._computed_round < round:
             self._computed_round += 1
             r = np.uint64(self._computed_round)
-            u_state = units_of_counters(
-                np, keys, [np.uint64(0), r, p_axis, q_axis]
-            )
+            u_state = units_of_counters(np, self._state_keys, [r, p_axis, q_axis])
             bursty = np.where(
                 self._bursty, u_state >= self.p_recover, u_state < self.p_burst
             )
             self._bursty = bursty
             loss = np.where(bursty, self.loss_burst, self.loss_good)
-            u_loss = units_of_counters(
-                np, keys, [np.uint64(1), r, p_axis, q_axis]
-            )
+            u_loss = units_of_counters(np, self._loss_keys, [r, p_axis, q_axis])
             heard = self._eye | (u_loss >= loss)
             self._round_words = pack_bools(heard, self.n)
 
@@ -246,6 +252,9 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
         self.stable_from = first.stable_from
         self.flaky_probability = first.flaky_probability
         self.background_probability = first.background_probability
+        self._pretender_keys, self._flaky_keys, self._background_keys = (
+            self._tag_keys(0, 1, 2)
+        )
 
     def round_masks(self, round: int, active: Any) -> Any:
         np = self.np
@@ -253,19 +262,17 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
             return self._full_rows()
         r = np.uint64(round)
         n = self.n
-        pretender = counter_hash_array(np, self.keys, [np.uint64(0), r]) % np.uint64(n)
+        pretender = counter_hash_array(np, self._pretender_keys, [r]) % np.uint64(n)
         heard = (
             units_of_counters(
                 np,
-                self.keys[:, None, None],
-                [np.uint64(2), r, self._arange[:, None], self._arange[None, :]],
+                self._background_keys[:, None, None],
+                [r, self._arange[:, None], self._arange[None, :]],
             )
             < self.background_probability
         )
         flaky_ok = (
-            units_of_counters(
-                np, self.keys[:, None], [np.uint64(1), r, self._arange]
-            )
+            units_of_counters(np, self._flaky_keys[:, None], [r, self._arange])
             >= self.flaky_probability
         )
         idx = np.broadcast_to(
@@ -296,19 +303,21 @@ class CounterKernelBatchDual(_CounterDualBase):
             member[p] = True
         self._member = member
         self._pi0_words = pack_bools(member[None, :], self.n)[0]
+        self._extras_keys, self._outsider_keys = (
+            keys[:, None, None] for keys in self._tag_keys(0, 1)
+        )
 
     def round_masks(self, round: int, active: Any) -> Any:
         np = self.np
         r = np.uint64(round)
-        keys = self.keys[:, None, None]
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
         extras = (
-            units_of_counters(np, keys, [np.uint64(0), r, p_axis, q_axis]) < 0.5
+            units_of_counters(np, self._extras_keys, [r, p_axis, q_axis]) < 0.5
         ) & (~self._member)[None, None, :]
         member_words = pack_bools(extras, self.n) | self._pi0_words[None, None, :]
         outsider = (
-            units_of_counters(np, keys, [np.uint64(1), r, p_axis, q_axis]) < 0.5
+            units_of_counters(np, self._outsider_keys, [r, p_axis, q_axis]) < 0.5
         )
         outsider_words = pack_bools(outsider, self.n) | self._self_bits[None, :, :]
         return np.where(

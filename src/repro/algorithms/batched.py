@@ -323,7 +323,12 @@ class BatchOneThirdRule(BatchKernel):
         winner = np.take_along_axis(x, qstar, axis=1)
 
         adopt_top = (hc - top_i) <= n_col // 3
-        new_x = np.where(adopt_top, winner, self._min_heard_code(heard))
+        # The min-heard pass is a full (R, n, n) scan; skip it when no acting
+        # process falls back to it (np.where(act, ...) masks the rest).
+        if (act & ~adopt_top).any():
+            new_x = np.where(adopt_top, winner, self._min_heard_code(heard))
+        else:
+            new_x = winner
         self.x = np.where(act, new_x, x)
 
         # A value with multiplicity > 2n/3 is unique, and is the top value.

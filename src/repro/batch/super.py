@@ -1,20 +1,25 @@
-"""The cross-cell super-batch engine: the whole grid as one lockstep unit.
+"""The cross-cell super-batch engine: one lockstep loop per (kernel, n) group.
 
 :class:`~repro.batch.backends.BatchBackend` vectorises the R replicas of
 *one* sweep cell; the grid axis -- (scenario, fault model, n, seed-count)
 cells -- remains a Python loop, and small-n cells leave most of the array
-width idle.  :class:`SuperBatchBackend` packs B heterogeneous cells into a
-single padded row space instead:
+width idle.  :class:`SuperBatchBackend` groups the eligible cells by
+``(kernel class, n)`` and packs each group's B cells into one row space
+instead -- one engine per group, so no row pays for a larger n than its
+own (a kernel step costs at least ``O(n^2)`` per row):
 
-* estimates live in one ``(sum(R_b), n_max)`` code array (the batch
-  kernels' mixed-``row_n`` mode: columns above a row's own n are padding
-  that never passes an update gate);
+* estimates live in one ``(sum(R_b), n_max)`` code array;
 * heard-of sets live in one ``(sum(R_b), n_max, ceil(n_max/64))`` uint64
-  word buffer, each cell's oracle scattering its ``(R_b, n_b, W_b)`` block
-  into the top-left corner of its rows;
+  word buffer, each cell's oracle writing its ``(R_b, n_b, W_b)`` block
+  into its rows -- rows are cell-major, so a cell's live rows are one
+  contiguous slice;
 * one lockstep loop steps *all* rows each round, retiring rows as their
   replicas decide (or hit their horizon) and compacting the kernel when
   occupancy drops below :data:`COMPACT_THRESHOLD`.
+
+The engine itself still accepts cells of different n: it pads them to
+``n_max`` through the batch kernels' mixed-``row_n`` mode (columns above a
+row's own n hear nobody and never pass an update gate).
 
 Heterogeneous horizons, scopes and fault models coexist because every
 per-row quantity -- n, horizon, scope mask, full-horizon flag -- is a row
@@ -91,8 +96,9 @@ class SuperBatchBackend:
                 results[i] = self._cell_backend.run(batch)
             else:
                 kernel_class, encodings[i] = eligible
-                groups.setdefault(kernel_class, []).append(i)
-        for kernel_class, indices in groups.items():
+                # One engine per (kernel, n): no row is padded past its n.
+                groups.setdefault((kernel_class, batch.n), []).append(i)
+        for (kernel_class, _n), indices in groups.items():
             outcomes = _SuperBatchEngine(
                 kernel_class,
                 [batches[i] for i in indices],
@@ -234,6 +240,7 @@ class _SuperBatchEngine:
         # it shrinks in lockstep with every compaction.
         orig_of = np.arange(self.rows, dtype=np.int64)
         buffer = np.zeros((self.rows, n_max, self.w_max), dtype=np.uint64)
+        cell_ids = np.arange(len(self.batches) + 1)
 
         round = 0
         while True:
@@ -259,17 +266,19 @@ class _SuperBatchEngine:
                 alive = np.ones(live, dtype=bool)
 
             round += 1
-            cell_of_live = self.row_cell[orig_of]
+            # Rows are cell-major and compaction keeps orig_of sorted, so each
+            # cell's live rows are one contiguous slice.
+            bounds = np.searchsorted(self.row_cell[orig_of], cell_ids).tolist()
             for ci, batch in enumerate(self.batches):
-                positions = np.nonzero(cell_of_live == ci)[0]
-                if positions.size == 0:
+                lo, hi = bounds[ci], bounds[ci + 1]
+                if lo == hi:
                     continue
-                replica_idx = self.row_replica[orig_of[positions]]
+                replica_idx = self.row_replica[orig_of[lo:hi]]
                 cell_active = np.zeros(batch.replicas, dtype=bool)
-                cell_active[replica_idx] = alive[positions]
+                cell_active[replica_idx] = alive[lo:hi]
                 words = self.oracles[ci].round_masks(round, cell_active)
                 w_c = words.shape[-1]
-                buffer[positions, : batch.n, :w_c] = words[replica_idx]
+                buffer[lo:hi, : batch.n, :w_c] = words[replica_idx]
 
             heard = unpack_words(buffer, n_max)
             kernel.step(round, heard, alive)

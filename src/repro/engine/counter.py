@@ -115,12 +115,19 @@ class CounterStream:
 # --------------------------------------------------------------------------- #
 
 
-def _mix64_array(np: Any, z: Any) -> Any:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_array(np: Any, z: Any, scratch: Any) -> Any:
+    """The splitmix64 finalizer, in place on the uint64 array *z*.
+
+    *scratch* is a buffer of *z*'s shape that holds each shifted copy, so
+    the whole scramble allocates nothing.
+    """
+    u64 = np.uint64
+    np.bitwise_xor(z, np.right_shift(z, u64(30), out=scratch), out=z)
+    np.multiply(z, u64(_MIX1), out=z)
+    np.bitwise_xor(z, np.right_shift(z, u64(27), out=scratch), out=z)
+    np.multiply(z, u64(_MIX2), out=z)
+    np.bitwise_xor(z, np.right_shift(z, u64(31), out=scratch), out=z)
+    return z
 
 
 def counter_hash_array(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
@@ -129,21 +136,39 @@ def counter_hash_array(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
     *keys* and every entry of *counters* may be scalars or arrays of any
     mutually broadcastable shapes; the result has the broadcast shape and
     dtype uint64, bit-identical to the scalar function element-wise.
+
+    The chain works in place on one array of the running broadcast shape
+    (plus one reused scratch buffer), reallocating only when a counter
+    widens the shape.  The first operation always allocates, so neither
+    *keys* nor any counter array is ever written.
     """
-    # uint64 wraparound is the point; numpy warns about it on 0-d scalars.
-    with np.errstate(over="ignore"):
-        z = np.asarray(keys, dtype=np.uint64)
-        for counter in counters:
-            z = z + np.uint64(_PHI)
-            z = _mix64_array(np, z ^ np.asarray(counter, dtype=np.uint64))
-    if z.dtype != np.uint64:  # all-scalar inputs collapse to a 0-d value
-        z = np.asarray(z, dtype=np.uint64)
+    # Every operation writes into an array (never a numpy scalar), so the
+    # uint64 wraparound raises no overflow warning even for 0-d inputs.
+    z = np.asarray(keys, dtype=np.uint64)
+    phi = np.uint64(_PHI)
+    scratch = None
+    for counter in counters:
+        counter = np.asarray(counter, dtype=np.uint64)
+        if scratch is None:  # the first link: never write into the caller's keys
+            z = np.add(z, phi, out=np.empty(z.shape, dtype=np.uint64))
+        else:
+            np.add(z, phi, out=z)
+        shape = z.shape if counter.ndim == 0 else np.broadcast_shapes(z.shape, counter.shape)
+        if shape == z.shape:
+            np.bitwise_xor(z, counter, out=z)
+        else:
+            z = np.bitwise_xor(z, counter, out=np.empty(shape, dtype=np.uint64))
+        if scratch is None or scratch.shape != shape:
+            scratch = np.empty(shape, dtype=np.uint64)
+        _mix64_array(np, z, scratch)
     return z
 
 
 def units_of_array(np: Any, hashes: Any) -> Any:
     """The array form of :func:`unit_of`: uniform float64 in ``[0, 1)``."""
-    return (hashes >> np.uint64(11)).astype(np.float64) * _UNIT_SCALE
+    units = (hashes >> np.uint64(11)).astype(np.float64)
+    units *= _UNIT_SCALE
+    return units
 
 
 #: the fused compiled kernel, resolved on first use: False = unresolved,

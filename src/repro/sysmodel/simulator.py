@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.types import ProcessId
-from ..engine import EngineCore, FaultEvent
+from ..engine import EngineCore, FaultEvent, FaultKind
 from .faults import BadPeriodProcessBehavior, FaultSchedule
 from .network import BadPeriodNetwork, Envelope, Network
 from .params import SynchronyParams
@@ -287,8 +287,12 @@ class SystemSimulator:
     # ------------------------------------------------------------------ #
 
     def _fault_vetoed(self, fault: FaultEvent) -> bool:
-        # Good periods forbid faults on processes in their synchronous scope.
-        return self.schedule.is_synchronous(fault.process, self._clock.now)
+        # Good periods forbid faults on processes in their synchronous scope,
+        # and a pi0-down period keeps the processes outside pi0 down.
+        now = self._clock.now
+        if self.schedule.is_synchronous(fault.process, now):
+            return True
+        return fault.kind is FaultKind.RECOVER and self.schedule.is_down(fault.process, now)
 
     def _apply_crash(self, process: ProcessId) -> bool:
         runtime = self.runtimes[process]

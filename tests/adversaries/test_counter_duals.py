@@ -82,6 +82,18 @@ class TestScalarDualEquality:
                 shadows, round
             ), f"{family} diverges at round {round}"
 
+    @pytest.mark.parametrize("family", sorted(FAMILY_FACTORIES))
+    def test_round_masks_leave_keys_unchanged(self, family):
+        """The in-place hash chain never writes back into a dual's keys."""
+        np = __import__("numpy")
+        oracles = [FAMILY_FACTORIES[family](8, 30 + i) for i in range(3)]
+        dual = counter_batch_dual(oracles, 3)
+        before = dual.keys.copy()
+        for round in range(1, 8):
+            dual.round_masks(round, np.ones(3, dtype=bool))
+        assert np.array_equal(dual.keys, before)
+        assert [int(k) for k in dual.keys] == [o._ctr.key for o in oracles]
+
     def test_scalar_query_order_does_not_matter(self):
         """The scalar oracle gives the same masks queried in any (p, r)
         order inside the retained window -- the counter property itself."""

@@ -154,6 +154,58 @@ class TestCrossCellBitIdentity:
 
 
 @needs_numpy
+class TestPerSizeGroups:
+    @pytest.mark.parametrize("sizes", [(16, 64), (63, 65)])
+    def test_one_engine_per_kernel_and_n(self, monkeypatch, sizes):
+        """run_batches builds one engine per (kernel, n): nothing is padded."""
+        import repro.batch.super as super_mod
+
+        built = []
+
+        class Spy(super_mod._SuperBatchEngine):
+            def __init__(self, kernel_class, batches, encodings):
+                super().__init__(kernel_class, batches, encodings)
+                built.append((kernel_class.__name__, self.n_max, [b.n for b in batches]))
+
+        monkeypatch.setattr(super_mod, "_SuperBatchEngine", Spy)
+        cells = [
+            make_cell(algo, n, 100 * i + 10 * j, 2, FAMILIES[family], max_rounds=40)
+            for i, (algo, family) in enumerate(
+                [(OneThirdRule, "mobile"), (UniformVoting, "bursty"), (OneThirdRule, "partition")]
+            )
+            for j, n in enumerate(sizes)
+        ]
+        backend = SuperBatchBackend()
+        results = backend.run_batches(cells)
+        assert backend.last_fallback_reasons == {}
+        assert sorted(built) == sorted(
+            [("BatchOneThirdRule", n, [n, n]) for n in sizes]
+            + [("BatchUniformVoting", n, [n]) for n in sizes]
+        )
+        scalar = get_backend("scalar")
+        assert results == [scalar.run(cell) for cell in cells]
+
+    @pytest.mark.parametrize("sizes", [(1, 4), (16, 64), (63, 64, 65)])
+    def test_padded_engine_over_mixed_n(self, sizes):
+        """The engine's padded mixed-row_n path, driven directly."""
+        from repro.algorithms.batched import BatchOneThirdRule, encode_values
+        from repro.batch.super import _SuperBatchEngine
+
+        cells = [
+            make_cell(OneThirdRule, n, 300 + 10 * i, 3, FAMILIES["coordinator"], max_rounds=40)
+            for i, n in enumerate(sizes)
+        ]
+        encodings = [
+            [encode_values(list(task.initial_values)) for task in cell.tasks]
+            for cell in cells
+        ]
+        engine = _SuperBatchEngine(BatchOneThirdRule, cells, encodings)
+        assert engine.n_max == max(sizes)
+        scalar = get_backend("scalar")
+        assert engine.run() == [scalar.run(cell) for cell in cells]
+
+
+@needs_numpy
 class TestPerCellFallbacks:
     def test_monitored_cell_falls_back_per_cell(self):
         cell = make_cell(

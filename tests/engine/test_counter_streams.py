@@ -139,3 +139,55 @@ class TestArrayDual:
         )
         assert hashes.dtype == np.uint64
         assert int(hashes[0]) == counter_hash(big, big)
+
+    def test_zero_d_one_d_and_broadcast_shapes_equal_scalar(self):
+        np = require_numpy()
+        key = derive_seed(5, "oracle.shapes")
+        zero_d = counter_hash_array(np, np.uint64(key), [np.uint64(2), np.uint64(9)])
+        assert zero_d.shape == () and zero_d.dtype == np.uint64
+        assert int(zero_d) == counter_hash(key, 2, 9)
+        keys = np.array([key, key + 1, 7], dtype=np.uint64)
+        one_d = counter_hash_array(np, keys, [np.uint64(4), np.arange(3, dtype=np.uint64)])
+        assert [int(h) for h in one_d] == [
+            counter_hash(int(k), 4, q) for q, k in enumerate(keys)
+        ]
+        # Keys (3, 1, 1) widened by a (4, 1) then a (1, 5) counter: the chain
+        # reallocates twice and must still match element for element.
+        rows = np.arange(4, dtype=np.uint64)[:, None]
+        cols = np.arange(5, dtype=np.uint64)[None, :]
+        wide = counter_hash_array(np, keys[:, None, None], [np.uint64(1), rows, cols])
+        assert wide.shape == (3, 4, 5)
+        assert all(
+            int(wide[i, p, q]) == counter_hash(int(keys[i]), 1, p, q)
+            for i in range(3) for p in range(4) for q in range(5)
+        )
+        units = units_of_array(np, wide)
+        assert all(
+            float(units[i, p, q]) == unit_of(counter_hash(int(keys[i]), 1, p, q))
+            for i in range(3) for p in range(4) for q in range(5)
+        )
+
+    def test_inputs_are_never_written(self):
+        """The first link allocates, so caller arrays survive the in-place chain."""
+        np = require_numpy()
+        keys = np.arange(1, 13, dtype=np.uint64).reshape(3, 4)
+        counters = [np.full((3, 4), 6, dtype=np.uint64), np.arange(4, dtype=np.uint64)]
+        saved = [keys.copy()] + [c.copy() for c in counters]
+        hashes = counter_hash_array(np, keys, counters)
+        hashes_before = hashes.copy()
+        units_of_array(np, hashes)
+        for array, copy in zip([keys] + counters, saved):
+            assert np.array_equal(array, copy)
+        assert np.array_equal(hashes, hashes_before)
+
+    def test_prefix_continuation(self):
+        """The chain is a fold: a cached (key, tag) state continues it."""
+        np = require_numpy()
+        keys = np.array([3, 2**64 - 1, derive_seed(1, "oracle.prefix")], dtype=np.uint64)
+        rest = [np.uint64(11), np.arange(6, dtype=np.uint64)[None, :]]
+        prefix = counter_hash_array(np, keys, [np.uint64(2)])
+        continued = counter_hash_array(np, prefix[:, None], rest)
+        direct = counter_hash_array(np, keys[:, None], [np.uint64(2)] + rest)
+        assert np.array_equal(continued, direct)
+        for key in keys.tolist():
+            assert counter_hash(counter_hash(key, 2), 11, 5) == counter_hash(key, 2, 11, 5)

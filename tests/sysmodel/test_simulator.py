@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 
 import pytest
 
+from repro.engine import FaultKind
 from repro.sysmodel.faults import BadPeriodProcessBehavior, FaultSchedule
 from repro.sysmodel.network import BadPeriodNetwork, Envelope
 from repro.sysmodel.params import SynchronyParams
@@ -156,6 +157,20 @@ class TestPi0DownPeriods:
         assert simulator.runtimes[1].stats.recoveries == 1
         # It took steps again during the good period.
         assert any(t >= 30.0 for t in programs[1].step_times)
+
+    def test_recovery_outside_pi0_is_vetoed(self):
+        n = 4
+        schedule = PeriodSchedule.single_good_period(
+            n, start=20.0, length=100.0, kind=GoodPeriodKind.PI0_DOWN, pi0=[0, 1, 2]
+        )
+        faults = FaultSchedule.crash_recovery([(3, 5.0, 50.0)])
+        simulator, _ = make_simulator(n=n, schedule=schedule, fault_schedule=faults)
+        trace = simulator.run(until=100.0)
+        # The period keeps p3 down: its injected recovery at t=50 is skipped.
+        assert trace.recoveries == 0
+        assert simulator.runtimes[3].up is False
+        skipped = [(e.process, e.kind) for e in simulator.skipped_fault_events]
+        assert (3, FaultKind.RECOVER) in skipped
 
 
 class TestFaultInjection:
